@@ -69,16 +69,33 @@ class DriverTable:
         return self.values[:, index]
 
     def rows(self) -> list[tuple[float, ...]]:
-        """Return rows as tuples (fast positional access in inner loops).
+        """Return rows as tuples of Python floats (fast positional access
+        in inner loops).
 
-        The list is computed once and cached: simulators call this on
-        every fitness evaluation.
+        The entries are plain ``float``, not ``np.float64``: a NumPy
+        scalar read here would box every later operation of the scalar
+        step.  The list is computed once and cached, since simulators
+        call this on every fitness evaluation; the cache never enters a
+        pickle (see :meth:`__getstate__`).
         """
-        cached = getattr(self, "_rows_cache", None)
+        cached = self.__dict__.get("_rows_cache")
         if cached is None:
-            cached = [tuple(row) for row in self.values]
+            cached = [tuple(row) for row in self.values.tolist()]
             object.__setattr__(self, "_rows_cache", cached)
         return cached
+
+    def __getstate__(self) -> dict:
+        # The row cache duplicates ``values``; it is rebuilt lazily.
+        state = dict(self.__dict__)
+        state.pop("_rows_cache", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Envelopes written before the cache was excluded carry one,
+        # holding NumPy-scalar rows: discard it.
+        state = dict(state)
+        state.pop("_rows_cache", None)
+        self.__dict__.update(state)
 
     def slice(self, start: int, stop: int) -> "DriverTable":
         """Return a time-sliced copy covering ``[start, stop)``."""

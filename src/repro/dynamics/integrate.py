@@ -448,7 +448,9 @@ def observation_error_stream(
         raise ValueError(
             f"model has no state {target_state!r}; states: {model.state_names}"
         ) from None
-    observed = np.asarray(observed, dtype=float)
+    # Python floats, like the driver rows: the step stays free of
+    # NumPy scalars end to end.
+    observed = np.asarray(observed, dtype=float).tolist()
     if len(observed) != len(drivers):
         raise ValueError(
             f"{len(observed)} observations for {len(drivers)} driver rows"

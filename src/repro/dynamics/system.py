@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.expr.ast import Expr, free_params, free_states, free_vars, strip_ext
+from repro.expr.ast import Expr, Param, State, Var, strip_ext
 from repro.expr.compile import (
     KERNEL_CACHE,
     CompiledBatchedModel,
@@ -28,6 +28,21 @@ from repro.expr.simplify import canonical_key
 
 class ModelError(ValueError):
     """Raised for ill-formed process models."""
+
+
+def _free_names(expr: Expr) -> tuple[set[str], set[str], set[str]]:
+    """The state, parameter and variable names ``expr`` uses, in one walk."""
+    states: set[str] = set()
+    params: set[str] = set()
+    variables: set[str] = set()
+    for node in expr.walk():
+        if isinstance(node, Param):
+            params.add(node.name)
+        elif isinstance(node, Var):
+            variables.add(node.name)
+        elif isinstance(node, State):
+            states.add(node.name)
+    return states, params, variables
 
 
 @dataclass
@@ -59,19 +74,20 @@ class ProcessModel:
         params = set(self.param_order)
         variables = set(self.var_order)
         for state, expr in self.equations.items():
-            unknown_states = free_states(expr) - states
+            used_states, used_params, used_vars = _free_names(expr)
+            unknown_states = used_states - states
             if unknown_states:
                 raise ModelError(
                     f"equation for {state} references unknown states "
                     f"{sorted(unknown_states)}"
                 )
-            unknown_params = free_params(expr) - params
+            unknown_params = used_params - params
             if unknown_params:
                 raise ModelError(
                     f"equation for {state} references unbound parameters "
                     f"{sorted(unknown_params)}"
                 )
-            unknown_vars = free_vars(expr) - variables
+            unknown_vars = used_vars - variables
             if unknown_vars:
                 raise ModelError(
                     f"equation for {state} references unknown variables "
@@ -111,7 +127,7 @@ class ProcessModel:
         equations = dict(equations)
         discovered: set[str] = set()
         for expr in equations.values():
-            discovered |= free_params(expr)
+            discovered |= _free_names(expr)[1]
         ordered = list(extra_params)
         ordered.extend(sorted(discovered - set(extra_params)))
         return cls(equations, tuple(ordered), tuple(var_order))

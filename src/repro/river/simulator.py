@@ -379,13 +379,14 @@ class RiverTask:
     ) -> Iterator[float]:
         """Per-day squared error at the target station (for Algorithm 1)."""
         index = self._target_index
+        observed = self.observed.tolist()
         for t, snapshot in enumerate(
             self.simulator.steps(model, params, use_compiled=use_compiled)
         ):
             predicted = snapshot[self.target_station][index]
             if not math.isfinite(predicted):
                 raise SimulationDiverged("prediction is not finite")
-            error = predicted - self.observed[t]
+            error = predicted - observed[t]
             yield error * error
 
     def rmse(

@@ -37,20 +37,11 @@ def adjoin(target: TreeNode, address: Address, auxiliary: TreeNode) -> TreeNode:
             f"cannot adjoin: site labelled {site.symbol}, auxiliary root "
             f"labelled {auxiliary.symbol}"
         )
-    planted = _replace_foot(auxiliary, site)
-    return target.replace_at(address, planted)
-
-
-def _replace_foot(tree: TreeNode, replacement: TreeNode) -> TreeNode:
-    """Replace the unique foot node of ``tree`` with ``replacement``."""
-    foot_address = None
-    for address, node in tree.walk():
+    for foot_address, node in auxiliary.walk():
         if node.is_foot:
-            foot_address = address
-            break
-    if foot_address is None:
-        raise DeriveError("auxiliary tree has no foot node")
-    return tree.replace_at(foot_address, replacement)
+            planted = auxiliary.replace_at(foot_address, site)
+            return target.replace_at(address, planted)
+    raise DeriveError("auxiliary tree has no foot node")
 
 
 def substitute_node(target: TreeNode, address: Address, leaf: TreeNode) -> TreeNode:
@@ -72,56 +63,72 @@ def derive(derivation: DerivationTree) -> TreeNode:
 
     Adjunctions are applied bottom-up over each elementary tree's template
     so that recorded Gorn addresses always refer to elementary-tree nodes,
-    independent of the order in which siblings were adjoined.
+    independent of the order in which siblings were adjoined.  The build
+    is a single pass: every derived subtree comes back with the addresses
+    of its foot nodes, so each adjunction splices at a known address, and
+    the completeness check needs no second walk (a built tree never holds
+    a substitution slot, because an unfilled one fails the build).
     """
     try:
         derivation.validate()
     except DerivationError as error:
         raise DeriveError(str(error)) from None
-    derived = _build(derivation.root)
-    for __, node in derived.walk():
-        if node.is_subst:
-            raise DeriveError("derived tree is not completed: open slot remains")
-        if node.is_foot:
-            raise DeriveError("derived tree retains a foot node")
+    derived, feet = _build(derivation.root)
+    if feet:
+        raise DeriveError("derived tree retains a foot node")
     return derived
 
 
-def _build(deriv_node: DerivationNode) -> TreeNode:
-    template = deriv_node.tree.root
+def _build(deriv_node: DerivationNode) -> tuple[TreeNode, tuple[Address, ...]]:
+    """Build the derived subtree of ``deriv_node``.
 
-    def rebuild(node: TreeNode, address: Address) -> TreeNode:
+    Returns the subtree and the addresses of its foot nodes in pre-order
+    (one for a well-formed beta, none for an alpha).  Adjoining a beta
+    replaces its first foot, exactly as :func:`adjoin` does.  Template
+    leaves other than slots enter the derived tree as they are, since
+    tree nodes are immutable.
+    """
+    tree = deriv_node.tree
+    lexemes = deriv_node.lexemes
+    adjunctions = deriv_node.children
+
+    def rebuild(
+        node: TreeNode, address: Address
+    ) -> tuple[TreeNode, tuple[Address, ...]]:
         if node.is_subst:
-            lexeme = deriv_node.lexemes.get(address)
+            lexeme = lexemes.get(address)
             if lexeme is None:
                 raise DeriveError(
                     f"unfilled substitution slot at {address} in "
-                    f"{deriv_node.tree.name!r}"
+                    f"{tree.name!r}"
                 )
-            return lexeme.instantiate()
-        children = tuple(
-            rebuild(child, address + (index,))
-            for index, child in enumerate(node.children)
-        )
-        rebuilt = TreeNode(
-            node.symbol,
-            children,
-            is_foot=node.is_foot,
-            is_subst=False,
-            payload=node.payload,
-        )
-        child_derivation = deriv_node.children.get(address)
+            return lexeme.instantiate(), ()
+        rebuilt = node
+        feet: tuple[Address, ...] = ((),) if node.is_foot else ()
+        if node.children:
+            children = []
+            for index, child in enumerate(node.children):
+                built, child_feet = rebuild(child, address + (index,))
+                children.append(built)
+                if child_feet:
+                    feet += tuple((index,) + foot for foot in child_feet)
+            rebuilt = TreeNode(node.symbol, tuple(children), payload=node.payload)
+        child_derivation = adjunctions.get(address)
         if child_derivation is not None:
-            auxiliary = _build(child_derivation)
+            auxiliary, aux_feet = _build(child_derivation)
             if auxiliary.symbol != rebuilt.symbol:
                 raise DeriveError(
                     f"beta {child_derivation.tree.name!r} incompatible at "
-                    f"{address} of {deriv_node.tree.name!r}"
+                    f"{address} of {tree.name!r}"
                 )
-            rebuilt = _replace_foot(auxiliary, rebuilt)
-        return rebuilt
+            if not aux_feet:
+                raise DeriveError("auxiliary tree has no foot node")
+            splice = aux_feet[0]
+            rebuilt = auxiliary.replace_at(splice, rebuilt)
+            feet = tuple(splice + foot for foot in feet) + aux_feet[1:]
+        return rebuilt, feet
 
-    return rebuild(template, ())
+    return rebuild(tree.root, ())
 
 
 def to_expressions(derived: TreeNode) -> tuple[list[Expr], dict[str, float]]:

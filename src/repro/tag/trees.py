@@ -141,6 +141,10 @@ class RConst:
         )
 
 
+#: Instance-dict keys of :class:`ElementaryTree`'s address memos.
+_ADDRESS_MEMOS = frozenset({"_substitution_addresses", "_adjunction_addresses"})
+
+
 @dataclass(frozen=True)
 class ElementaryTree:
     """Base class of alpha- and beta-trees: a named, validated template."""
@@ -154,23 +158,43 @@ class ElementaryTree:
     def walk(self) -> Iterator[tuple[Address, TreeNode]]:
         return self.root.walk()
 
+    # The templates are immutable, so their address lists are computed
+    # once and memoised in the instance ``__dict__`` (the dataclass is
+    # frozen); the memo never enters a pickle.
+
     def substitution_addresses(self) -> tuple[Address, ...]:
         """Addresses of all frontier substitution slots (``↓`` nodes)."""
-        return tuple(
-            address for address, node in self.walk() if node.is_subst
-        )
+        cached = self.__dict__.get("_substitution_addresses")
+        if cached is None:
+            cached = tuple(
+                address for address, node in self.walk() if node.is_subst
+            )
+            self.__dict__["_substitution_addresses"] = cached
+        return cached
 
     def adjunction_addresses(self, adjoinable: frozenset[Symbol]) -> tuple[Address, ...]:
         """Addresses where a beta-tree rooted at a symbol in ``adjoinable``
         may adjoin: non-terminal nodes excluding foot and substitution
         slots."""
-        return tuple(
-            address
-            for address, node in self.walk()
-            if node.symbol in adjoinable
-            and not node.is_foot
-            and not node.is_subst
-        )
+        memo = self.__dict__.setdefault("_adjunction_addresses", {})
+        cached = memo.get(adjoinable)
+        if cached is None:
+            cached = tuple(
+                address
+                for address, node in self.walk()
+                if node.symbol in adjoinable
+                and not node.is_foot
+                and not node.is_subst
+            )
+            memo[adjoinable] = cached
+        return cached
+
+    def __getstate__(self) -> dict:
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in _ADDRESS_MEMOS
+        }
 
     @property
     def size(self) -> int:

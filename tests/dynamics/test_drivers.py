@@ -1,5 +1,7 @@
 """Driver table behaviour."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,38 @@ class TestAccess:
     def test_rows_are_cached(self):
         t = table()
         assert t.rows() is t.rows()
+
+    def test_rows_hold_python_floats(self):
+        for row in table().rows():
+            assert all(type(value) is float for value in row)
+
+
+class TestPickling:
+    def test_row_cache_stays_out_of_pickles(self):
+        fresh = table()
+        used = table()
+        used.rows()
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+
+    def test_round_trip_rebuilds_rows(self):
+        used = table()
+        rows = used.rows()
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored.names == used.names
+        assert restored.rows() == rows
+
+    def test_cache_from_an_older_envelope_is_discarded(self):
+        used = table()
+        # What an envelope written before the cache was excluded holds:
+        # the instance dict with NumPy-scalar rows.
+        state = dict(used.__dict__)
+        state["_rows_cache"] = [tuple(row) for row in used.values]
+        restored = DriverTable.__new__(DriverTable)
+        restored.__setstate__(state)
+        assert "_rows_cache" not in restored.__dict__
+        assert all(
+            type(value) is float for row in restored.rows() for value in row
+        )
 
 
 class TestTransforms:

@@ -45,6 +45,18 @@ class TestProcessModel:
         with pytest.raises(ModelError, match="unknown variables"):
             ProcessModel({"B": Var("V")}, (), ())
 
+    def test_unbound_parameter_rejected(self):
+        with pytest.raises(ModelError, match=r"unbound parameters \['q'\]"):
+            ProcessModel({"B": ast.mul(Param("p"), Param("q"))}, ("p",), ())
+
+    def test_names_checked_states_then_params_then_vars(self):
+        expr = ast.add(ast.mul(Var("V"), Param("p")), State("Other"))
+        with pytest.raises(ModelError, match="unknown states"):
+            ProcessModel({"B": expr}, (), ())
+        expr = ast.add(Var("V"), Param("p"))
+        with pytest.raises(ModelError, match="unbound parameters"):
+            ProcessModel({"B": expr}, (), ())
+
     def test_param_order_stable(self):
         model = ProcessModel.from_equations(
             {"B": ast.add(Param("z"), Param("a"))},

@@ -1,5 +1,7 @@
 """Elementary tree validation, addressing, and structural edits."""
 
+import pickle
+
 import pytest
 
 from repro.tag.symbols import EXP, nonterminal, terminal
@@ -115,6 +117,62 @@ class TestElementaryTrees:
         assert () in sites
         assert (1,) in sites
         assert (0,) not in sites  # substitution slot
+
+
+class TestAddressMemo:
+    """Template address lists are computed once per immutable template."""
+
+    @staticmethod
+    def template() -> AlphaTree:
+        other = nonterminal("Y")
+        root = TreeNode(
+            NT_X,
+            (
+                TreeNode(NT_X, is_subst=True),
+                TreeNode(other, (leaf(),)),
+                TreeNode(NT_X, (TreeNode(other, is_subst=True),)),
+            ),
+        )
+        return AlphaTree("a", root)
+
+    def test_repeated_calls_return_equal_tuples(self):
+        alpha = self.template()
+        first = alpha.substitution_addresses()
+        assert first == ((0,), (2, 0))
+        assert alpha.substitution_addresses() == first
+        sites = alpha.adjunction_addresses(frozenset({NT_X}))
+        assert sites == ((), (2,))
+        assert alpha.adjunction_addresses(frozenset({NT_X})) == sites
+
+    def test_one_entry_per_adjoinable_set(self):
+        alpha = self.template()
+        other = nonterminal("Y")
+        only_x = alpha.adjunction_addresses(frozenset({NT_X}))
+        only_y = alpha.adjunction_addresses(frozenset({other}))
+        both = alpha.adjunction_addresses(frozenset({NT_X, other}))
+        assert only_y == ((1,),)
+        assert both == ((), (1,), (2,))
+        # Asking again in any order serves each set its own answer.
+        assert alpha.adjunction_addresses(frozenset({other})) == only_y
+        assert alpha.adjunction_addresses(frozenset({NT_X})) == only_x
+        assert alpha.adjunction_addresses(frozenset()) == ()
+
+    def test_memo_stays_out_of_pickles(self):
+        fresh = self.template()
+        used = self.template()
+        used.substitution_addresses()
+        used.adjunction_addresses(frozenset({NT_X}))
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used
+        assert restored.substitution_addresses() == ((0,), (2, 0))
+
+    def test_memo_does_not_affect_equality_or_hash(self):
+        used = self.template()
+        used.adjunction_addresses(frozenset({NT_X}))
+        fresh = self.template()
+        assert used == fresh
+        assert hash(used) == hash(fresh)
 
 
 class TestLexeme:
