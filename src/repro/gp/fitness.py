@@ -81,13 +81,14 @@ class EvaluationStats:
     fitness cases *algorithmically* -- what the returned result consumed
     under Algorithm 1 -- on both the scalar and the batched path, so ES
     selectivity numbers stay comparable across kernels.  The timing
-    fields break the actual compute down by phase: ``compile_time``
+    fields break the actual compute down by phase: ``derive_time``
+    (building or reusing each individual's phenotype), ``compile_time``
     (acquiring compiled kernels, cached or not), ``step_time``
     (integration and error-curve computation, scalar or batched), and
-    ``batch_fill`` (phenotype derivation, structure grouping, and
-    parameter-matrix stacking while planning a batch).  Phase times come
-    from a :class:`~repro.obs.profile.PhaseProfile`, so they are
-    mutually disjoint and their sum never exceeds ``wall_time`` -- on
+    ``batch_fill`` (structure grouping, cache peeks and parameter-matrix
+    stacking while planning a batch; derivation is not included).  Phase
+    times come from a :class:`~repro.obs.profile.PhaseProfile`, so they
+    are mutually disjoint and their sum never exceeds ``wall_time`` -- on
     either path (``tests/gp/test_phase_partition.py``).
     """
 
@@ -127,6 +128,9 @@ class EvaluationStats:
     #: batched rollouts after the fused kernel raised (degradation
     #: ladder rung above ``kernel_fallbacks``).
     fusion_fallbacks: int = 0
+    #: Exclusive seconds spent building or reusing phenotypes
+    #: (``Individual.phenotype``), on both paths.
+    derive_time: float = 0.0
 
     def __setstate__(self, state: dict) -> None:
         # Checkpoints written before the static-triage fields pickle
@@ -139,6 +143,7 @@ class EvaluationStats:
         self.__dict__.setdefault("fused_cohorts", 0)
         self.__dict__.setdefault("fused_columns", 0)
         self.__dict__.setdefault("fusion_fallbacks", 0)
+        self.__dict__.setdefault("derive_time", 0.0)
 
     @property
     def mean_time_per_individual(self) -> float:
@@ -181,6 +186,7 @@ class EvaluationStats:
             fused_cohorts=self.fused_cohorts + other.fused_cohorts,
             fused_columns=self.fused_columns + other.fused_columns,
             fusion_fallbacks=self.fusion_fallbacks + other.fusion_fallbacks,
+            derive_time=self.derive_time + other.derive_time,
         )
 
     @classmethod
@@ -195,7 +201,8 @@ class EvaluationStats:
     def phase_total(self) -> float:
         """Sum of the disjoint phase timers (``<= wall_time``)."""
         return (
-            self.compile_time
+            self.derive_time
+            + self.compile_time
             + self.step_time
             + self.batch_fill
             + self.triage_time
@@ -226,6 +233,7 @@ class EvaluationStats:
             self.fusion_fallbacks
         )
         registry.gauge(f"{prefix}.wall_time").add(self.wall_time)
+        registry.gauge(f"{prefix}.derive_time").add(self.derive_time)
         registry.gauge(f"{prefix}.compile_time").add(self.compile_time)
         registry.gauge(f"{prefix}.step_time").add(self.step_time)
         registry.gauge(f"{prefix}.batch_fill").add(self.batch_fill)
@@ -393,11 +401,13 @@ class GMRFitnessEvaluator:
         """Fold the profiler's exclusive phase totals into the stats.
 
         :class:`PhaseProfile` attributes every second to exactly one
-        phase, so after draining ``compile_time + step_time + batch_fill
-        <= wall_time`` holds by construction on both paths.
+        phase, so after draining ``derive_time + compile_time + step_time
+        + batch_fill + triage_time <= wall_time`` holds by construction on
+        both paths.
         """
         totals = self._profile.drain()
         if totals:
+            self.stats.derive_time += totals.get("derive", 0.0)
             self.stats.compile_time += totals.get("compile", 0.0)
             self.stats.step_time += totals.get("step", 0.0)
             self.stats.batch_fill += totals.get("fill", 0.0)
@@ -435,9 +445,10 @@ class GMRFitnessEvaluator:
 
     def _evaluate_inner(self, individual: Individual) -> tuple[float, bool]:
         config = self.config
-        model, params = individual.phenotype(
-            self.task.state_names, self.task.var_order
-        )
+        with self._profile.phase("derive"):
+            model, params = individual.phenotype(
+                self.task.state_names, self.task.var_order
+            )
         structure_key = model.structure_key()
         total_cases = self.task.n_cases
 
@@ -654,6 +665,7 @@ class GMRFitnessEvaluator:
                 self.stats.compile_time,
                 self.stats.step_time,
                 self.stats.batch_fill,
+                self.stats.derive_time,
             )
         batch_started = time.perf_counter()
         entries, groups = self._plan_batch(cohort)
@@ -686,6 +698,7 @@ class GMRFitnessEvaluator:
                 compile_time=self.stats.compile_time - before[1],
                 step_time=self.stats.step_time - before[2],
                 batch_fill=self.stats.batch_fill - before[3],
+                derive_time=self.stats.derive_time - before[4],
                 source="batched",
             )
         return results
@@ -710,9 +723,10 @@ class GMRFitnessEvaluator:
         # duplicates resolve as cache hits, matching the scalar path.
         verdicts: dict[Hashable, bool] = {}
         for individual in cohort:
-            model, params = individual.phenotype(
-                self.task.state_names, self.task.var_order
-            )
+            with self._profile.phase("derive"):
+                model, params = individual.phenotype(
+                    self.task.state_names, self.task.var_order
+                )
             entry = _BatchEntry(
                 individual=individual,
                 model=model,

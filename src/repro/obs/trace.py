@@ -162,6 +162,7 @@ EVENT_SCHEMAS: dict[str, EventSchema] = {
             "compile_time": float,
             "step_time": float,
             "batch_fill": float,
+            "derive_time": float,
             "source": str,
         },
     ),

@@ -109,9 +109,20 @@ class DerivationNode:
         return values
 
 
+#: Instance-dict key of the phenotype memo a derivation carries for
+#: :meth:`repro.gp.individual.Individual.phenotype`.
+PHENOTYPE_MEMO = "_phenotype_memo"
+
+
 @dataclass
 class DerivationTree:
-    """A complete derivation: a rooted tree of :class:`DerivationNode`."""
+    """A complete derivation: a rooted tree of :class:`DerivationNode`.
+
+    A derivation may carry a phenotype memo in its instance dict (under
+    :data:`PHENOTYPE_MEMO`).  The memo is opaque here: :meth:`copy` hands
+    it to the copy, so relatives share it, and pickles leave it out.
+    Whoever reads it must check that it still fits the derivation.
+    """
 
     root: DerivationNode
 
@@ -119,13 +130,22 @@ class DerivationTree:
         if not isinstance(self.root.tree, AlphaTree):
             raise DerivationError("derivation root must be an alpha-tree")
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(PHENOTYPE_MEMO, None)
+        return state
+
     @property
     def size(self) -> int:
         """Chromosome size: the number of derivation nodes."""
         return self.root.size
 
     def copy(self) -> "DerivationTree":
-        return DerivationTree(self.root.copy())
+        clone = DerivationTree(self.root.copy())
+        memo = self.__dict__.get(PHENOTYPE_MEMO)
+        if memo is not None:
+            clone.__dict__[PHENOTYPE_MEMO] = memo
+        return clone
 
     def walk(self) -> Iterator[DerivationNode]:
         return self.root.walk()

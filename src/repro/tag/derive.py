@@ -17,7 +17,7 @@ from repro.expr import ast
 from repro.expr.ast import BinOp, Const, Expr, Ext, Param, State, UnOp, Var
 from repro.tag.derivation import DerivationError, DerivationNode, DerivationTree
 from repro.tag.symbols import EXP, MODEL, Symbol, connector_symbol, terminal
-from repro.tag.trees import Address, TreeError, TreeNode
+from repro.tag.trees import Address, RConst, TreeError, TreeNode
 
 
 class DeriveError(ValueError):
@@ -58,7 +58,9 @@ def substitute_node(target: TreeNode, address: Address, leaf: TreeNode) -> TreeN
     return target.replace_at(address, leaf)
 
 
-def derive(derivation: DerivationTree) -> TreeNode:
+def derive(
+    derivation: DerivationTree, origins: dict[int, RConst] | None = None
+) -> TreeNode:
     """Produce the derived tree encoded by ``derivation``.
 
     Adjunctions are applied bottom-up over each elementary tree's template
@@ -68,25 +70,31 @@ def derive(derivation: DerivationTree) -> TreeNode:
     of its foot nodes, so each adjunction splices at a known address, and
     the completeness check needs no second walk (a built tree never holds
     a substitution slot, because an unfilled one fails the build).
+
+    With ``origins``, every random constant copied into the derived tree
+    is recorded as ``id(copy) -> the derivation's RConst``; the derived
+    tree keeps each copy alive, so the ids stay unique while it lives.
     """
     try:
         derivation.validate()
     except DerivationError as error:
         raise DeriveError(str(error)) from None
-    derived, feet = _build(derivation.root)
+    derived, feet = _build(derivation.root, origins)
     if feet:
         raise DeriveError("derived tree retains a foot node")
     return derived
 
 
-def _build(deriv_node: DerivationNode) -> tuple[TreeNode, tuple[Address, ...]]:
+def _build(
+    deriv_node: DerivationNode, origins: dict[int, RConst] | None = None
+) -> tuple[TreeNode, tuple[Address, ...]]:
     """Build the derived subtree of ``deriv_node``.
 
     Returns the subtree and the addresses of its foot nodes in pre-order
     (one for a well-formed beta, none for an alpha).  Adjoining a beta
     replaces its first foot, exactly as :func:`adjoin` does.  Template
     leaves other than slots enter the derived tree as they are, since
-    tree nodes are immutable.
+    tree nodes are immutable.  ``origins`` is as in :func:`derive`.
     """
     tree = deriv_node.tree
     lexemes = deriv_node.lexemes
@@ -102,7 +110,12 @@ def _build(deriv_node: DerivationNode) -> tuple[TreeNode, tuple[Address, ...]]:
                     f"unfilled substitution slot at {address} in "
                     f"{tree.name!r}"
                 )
-            return lexeme.instantiate(), ()
+            leaf = lexeme.instantiate()
+            payload = lexeme.payload
+            if origins is not None and payload is not None:
+                if payload[0] == "rconst":
+                    origins[id(leaf.payload[1])] = payload[1]
+            return leaf, ()
         rebuilt = node
         feet: tuple[Address, ...] = ((),) if node.is_foot else ()
         if node.children:
@@ -115,7 +128,7 @@ def _build(deriv_node: DerivationNode) -> tuple[TreeNode, tuple[Address, ...]]:
             rebuilt = TreeNode(node.symbol, tuple(children), payload=node.payload)
         child_derivation = adjunctions.get(address)
         if child_derivation is not None:
-            auxiliary, aux_feet = _build(child_derivation)
+            auxiliary, aux_feet = _build(child_derivation, origins)
             if auxiliary.symbol != rebuilt.symbol:
                 raise DeriveError(
                     f"beta {child_derivation.tree.name!r} incompatible at "
@@ -131,13 +144,16 @@ def _build(deriv_node: DerivationNode) -> tuple[TreeNode, tuple[Address, ...]]:
     return rebuild(tree.root, ())
 
 
-def to_expressions(derived: TreeNode) -> tuple[list[Expr], dict[str, float]]:
+def to_expressions(
+    derived: TreeNode, read: list[RConst] | None = None
+) -> tuple[list[Expr], dict[str, float]]:
     """Translate a completed derived tree into expression ASTs.
 
     Returns one expression per top-level equation (children of a ``Model``
     root, or a single expression otherwise) together with the values of
     the random constants collected from ``rconst`` payloads, named
-    ``_R0``, ``_R1``, ... in traversal order.
+    ``_R0``, ``_R1``, ... in traversal order.  When ``read`` is given,
+    the ``RConst`` behind each ``_Rk`` is appended to it in that order.
     """
     rvalues: dict[str, float] = {}
 
@@ -155,6 +171,8 @@ def to_expressions(derived: TreeNode) -> tuple[list[Expr], dict[str, float]]:
             if kind == "rconst":
                 name = f"_R{len(rvalues)}"
                 rvalues[name] = value.value
+                if read is not None:
+                    read.append(value)
                 return Param(name)
             if kind == "op":
                 raise DeriveError("operator terminal encountered out of context")
@@ -249,11 +267,32 @@ def _leaf(symbol_name: str, payload: tuple) -> TreeNode:
 
 def expressions_of(
     derivation: DerivationTree,
+    rconst_positions: list[int] | None = None,
 ) -> tuple[list[Expr], dict[str, float]]:
-    """Convenience: derive and translate in one call."""
+    """Derive and translate in one call.
+
+    When ``rconst_positions`` is given, it receives one entry per
+    ``_Rk``, in order: the position in ``derivation.rconsts()`` of the
+    random constant ``_Rk`` was read from.  The two orders differ on
+    most phenotypes (an adjoined beta's constants land among its host's),
+    and the derived tree holds copies of the constants, so the positions
+    are recorded during the build rather than recovered afterwards.
+    """
     if not isinstance(derivation, DerivationTree):
         raise TypeError("expressions_of expects a DerivationTree")
-    return to_expressions(derive(derivation))
+    origins: dict[int, RConst] = {}
+    read: list[RConst] = []
+    result = to_expressions(derive(derivation, origins), read)
+    if rconst_positions is not None:
+        # Every object keyed by id() here is alive until this returns.
+        position = {
+            id(rconst): index
+            for index, rconst in enumerate(derivation.rconsts())
+        }
+        rconst_positions.extend(
+            position[id(origins[id(copy)])] for copy in read
+        )
+    return result
 
 
 def render_equations(expressions: list[Expr], state_names: list[str]) -> str:

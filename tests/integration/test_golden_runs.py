@@ -1,8 +1,11 @@
 """Golden runs: whole fixed-seed GMR runs pinned bit for bit.
 
-Each case is a small default-path run (scalar step, evaluation
+Each domain case is a small default-path run (scalar step, evaluation
 short-circuiting, tree and kernel caches, hill climbing) on a registered
-domain's mini task.  The best fitness and the per-generation best
+domain's mini task.  The ``river-batched`` case runs the batched path
+instead (generation-sized evaluation batches, four Gaussian proposals per
+move, batched and fused kernels for every structure), where most
+evaluations score a parameter-only move of an already derived structure.  The best fitness and the per-generation best
 history are pinned as ``float.hex`` strings and the evaluation count
 exactly, so any change that silently alters search behaviour or the
 numeric result of a simulation fails here.  The results do not depend on
@@ -58,12 +61,30 @@ GOLDEN = {
             "0x1.5f0cb9e5db8c9p-6",
         ],
     ),
+    "river-batched": (
+        dict(
+            population_size=16,
+            max_generations=2,
+            local_search_steps=3,
+            eval_batch_size=16,
+            gaussian_proposals=4,
+            kernel_min_batch=1,
+        ),
+        "0x1.5cb1309c75ee6p+17",
+        233,
+        [
+            "0x1.8ca5b10afb20dp+21",
+            "0x1.aeda41756fea0p+17",
+            "0x1.5cb1309c75ee6p+17",
+        ],
+    ),
 }
 
 
-@pytest.mark.parametrize("domain", sorted(GOLDEN))
-def test_golden_run(domain):
-    config, best, evaluations, history = GOLDEN[domain]
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_run(case):
+    config, best, evaluations, history = GOLDEN[case]
+    domain = case.split("-")[0]
     engine = GMREngine.for_domain(
         domain, GMRConfig(n_workers=1, **config), mini=True
     )
