@@ -432,32 +432,94 @@ def observation_error_stream(
     clamp: ClampSpec = ClampSpec(),
     use_compiled: bool = True,
 ) -> Iterator[float]:
-    """Yield per-step squared errors between a state and observations.
+    """Per-step squared errors between a state and observations.
 
     This is the *fitness case* stream consumed by evaluation
     short-circuiting (Algorithm 1): one squared error per time step,
-    produced incrementally so evaluation can stop early.
+    produced incrementally so evaluation can stop early.  The compiled
+    path returns the model's Euler observation rollout
+    (:meth:`ProcessModel.compiled_rollout`), which yields the cases
+    directly, bit for bit what the step kernel driven through
+    :func:`euler_steps` yields; with ``use_compiled=False`` the
+    interpreter steps through :func:`euler_steps` (the Figure 10
+    ablation).
 
     Raises:
-        SimulationDiverged: If the simulated state becomes NaN (callers
-            should score such individuals with the worst fitness).
+        ValueError: At call time, for an unknown target state or a
+            length mismatch of the observations or the initial state.
+        SimulationDiverged: While iterating, if the simulated state
+            becomes NaN or the target state non-finite (callers should
+            score such individuals with the worst fitness).
     """
+    # Python floats, like the driver rows: the step stays free of
+    # NumPy scalars end to end.
+    return error_cases(
+        model,
+        params,
+        drivers,
+        initial_state,
+        np.asarray(observed, dtype=float).tolist(),
+        target_state,
+        dt,
+        clamp,
+        use_compiled,
+    )
+
+
+def error_cases(
+    model: ProcessModel,
+    params: Sequence[float],
+    drivers: DriverTable,
+    initial_state: Sequence[float],
+    observed: list[float],
+    target_state: str,
+    dt: float,
+    clamp: ClampSpec,
+    use_compiled: bool,
+) -> Iterator[float]:
+    """:func:`observation_error_stream` over observations that are
+    already a list of Python floats (:meth:`ModelingTask.observed_floats`
+    caches one)."""
     try:
         target_index = model.state_names.index(target_state)
     except ValueError:
         raise ValueError(
             f"model has no state {target_state!r}; states: {model.state_names}"
         ) from None
-    # Python floats, like the driver rows: the step stays free of
-    # NumPy scalars end to end.
-    observed = np.asarray(observed, dtype=float).tolist()
     if len(observed) != len(drivers):
         raise ValueError(
             f"{len(observed)} observations for {len(drivers)} driver rows"
         )
-    stepper = euler_steps(
-        model, params, drivers, initial_state, dt, clamp, use_compiled
+    state = [float(value) for value in initial_state]
+    if len(state) != len(model.state_names):
+        raise ValueError(
+            f"initial state has {len(state)} entries, model has "
+            f"{len(model.state_names)} states"
+        )
+    if not use_compiled:
+        stepper = euler_steps(
+            model, params, drivers, state, dt, clamp, use_compiled
+        )
+        return _stepped_cases(stepper, target_index, observed)
+    if drivers.names != model.var_order:
+        drivers = drivers.select(model.var_order)
+    rollout = model.compiled_rollout(target_index)
+    return rollout(
+        params,
+        drivers.rows(),
+        state,
+        observed,
+        dt,
+        clamp.minimum,
+        clamp.maximum,
+        clamp.apply,
     )
+
+
+def _stepped_cases(
+    stepper: Iterator[tuple[float, ...]], target_index: int, observed: list[float]
+) -> Iterator[float]:
+    """The fitness cases of an :func:`euler_steps` trajectory."""
     for step_index, state in enumerate(stepper):
         predicted = state[target_index]
         if not math.isfinite(predicted):

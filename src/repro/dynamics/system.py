@@ -2,9 +2,9 @@
 
 A :class:`ProcessModel` couples named state variables to the expressions
 for their time derivatives.  Models compile themselves (once per structure)
-into a single step function via :mod:`repro.expr.compile`, and can also be
-evaluated through the reference interpreter for the speedup ablations of
-Figure 10.
+via :mod:`repro.expr.compile` into a step function and, for fitness
+evaluation, into an Euler observation rollout, and can also be evaluated
+through the reference interpreter for the speedup ablations of Figure 10.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from repro.expr.compile import (
     CompiledBatchedModel,
     CompiledCohortKernel,
     CompiledModel,
+    CompiledRollout,
     compile_model,
     compile_model_batched,
     compile_model_cohort,
+    compile_rollout,
 )
 from repro.expr.evaluate import evaluate
 from repro.expr.simplify import canonical_key
@@ -64,6 +66,9 @@ class ProcessModel:
     _compiled_batched: CompiledBatchedModel | None = field(
         default=None, repr=False, compare=False
     )
+    _compiled_rollout: CompiledRollout | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.equations:
@@ -95,13 +100,15 @@ class ProcessModel:
                 )
 
     def __getstate__(self) -> dict:
-        # Compiled step functions (scalar and batched) are exec-generated
-        # and unpicklable; they are rebuilt lazily (``compiled()`` /
-        # ``compiled_batched()``) after transfer to a worker, where the
-        # worker's own process-global kernel cache takes over sharing.
+        # Compiled kernels (step, batched and rollout) are exec-generated
+        # and unpicklable; they are rebuilt lazily (``compiled()``,
+        # ``compiled_batched()``, ``compiled_rollout()``) after transfer
+        # to a worker, where the worker's own process-global kernel
+        # cache takes over sharing.
         state = dict(self.__dict__)
         state["_compiled"] = None
         state["_compiled_batched"] = None
+        state["_compiled_rollout"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -164,9 +171,45 @@ class ProcessModel:
         return self._compiled
 
     def _build_scalar_kernel(self) -> CompiledModel:
-        exprs = [strip_ext(self.equations[name]) for name in self.state_names]
+        exprs = [self.equations[name] for name in self.state_names]
         return compile_model(
             exprs, self.param_order, self.var_order, self.state_names
+        )
+
+    def compiled_rollout(self, target_index: int) -> CompiledRollout:
+        """Return (compiling on first use) the Euler observation rollout.
+
+        The rollout is a generator function
+        ``rollout(P, rows, S, observed, dt, lo, hi, clamp)`` yielding the
+        squared error of state ``target_index`` against each observation,
+        bit for bit what stepping :meth:`compiled` through
+        ``euler_steps`` would give (see
+        :func:`repro.expr.compile.generate_rollout_source`).
+        Rollouts are shared per structure and target through the
+        process-global :data:`repro.expr.compile.KERNEL_CACHE`; the model
+        keeps the last one it used.
+        """
+        rollout = self._compiled_rollout
+        if rollout is None or rollout.target_index != target_index:  # type: ignore[attr-defined]
+            rollout = KERNEL_CACHE.get_or_build(
+                self._kernel_key("rollout") + (target_index,),
+                lambda: self._build_rollout(target_index),
+            )
+            self._compiled_rollout = rollout
+        return rollout
+
+    def _build_rollout(self, target_index: int) -> CompiledRollout:
+        # Imported here: the integrator module imports this one.
+        from repro.dynamics.integrate import SimulationDiverged
+
+        exprs = [self.equations[name] for name in self.state_names]
+        return compile_rollout(
+            exprs,
+            self.param_order,
+            self.var_order,
+            self.state_names,
+            target_index,
+            SimulationDiverged,
         )
 
     def compiled_batched(self) -> CompiledBatchedModel:
@@ -185,7 +228,7 @@ class ProcessModel:
         return self._compiled_batched
 
     def _build_batched_kernel(self) -> CompiledBatchedModel:
-        exprs = [strip_ext(self.equations[name]) for name in self.state_names]
+        exprs = [self.equations[name] for name in self.state_names]
         return compile_model_batched(
             exprs, self.param_order, self.var_order, self.state_names
         )
@@ -286,7 +329,7 @@ def compile_cohort(
     def build() -> CompiledCohortKernel:
         members = [
             (
-                [strip_ext(model.equations[name]) for name in model.state_names],
+                [model.equations[name] for name in model.state_names],
                 model.param_order,
             )
             for model in models

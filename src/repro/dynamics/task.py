@@ -17,7 +17,7 @@ from repro.dynamics.drivers import DriverTable
 from repro.dynamics.integrate import (
     ClampSpec,
     SimulationDiverged,
-    observation_error_stream,
+    error_cases,
     simulate,
 )
 from repro.dynamics.system import ProcessModel
@@ -63,6 +63,25 @@ class ModelingTask:
         if len(self.initial_state) != len(self.state_names):
             raise ValueError("initial_state length must match state_names")
 
+    def __getstate__(self) -> dict:
+        # The float cache duplicates ``observed``; it is rebuilt lazily.
+        state = dict(self.__dict__)
+        state.pop("_observed_floats", None)
+        return state
+
+    def observed_floats(self) -> list[float]:
+        """The observations as a list of Python floats.
+
+        Computed once and cached, like :meth:`DriverTable.rows`: the
+        error stream reads one observation per fitness case.  The cache
+        never enters a pickle (see :meth:`__getstate__`).
+        """
+        cached = self.__dict__.get("_observed_floats")
+        if cached is None:
+            cached = self.observed.tolist()
+            self.__dict__["_observed_floats"] = cached
+        return cached
+
     @property
     def n_cases(self) -> int:
         """Number of fitness cases (time steps)."""
@@ -78,17 +97,20 @@ class ModelingTask:
         params: Sequence[float],
         use_compiled: bool = True,
     ) -> Iterator[float]:
-        """Per-step squared-error stream (for short-circuited evaluation)."""
-        return observation_error_stream(
+        """Per-step squared-error stream (for short-circuited evaluation).
+
+        See :func:`repro.dynamics.integrate.observation_error_stream`.
+        """
+        return error_cases(
             model,
             params,
             self.drivers,
             self.initial_state,
-            self.observed,
+            self.observed_floats(),
             self.target_state,
-            dt=self.dt,
-            clamp=self.clamp,
-            use_compiled=use_compiled,
+            self.dt,
+            self.clamp,
+            use_compiled,
         )
 
     def rmse(

@@ -2,8 +2,7 @@
 
 The paper evaluates evolved models with *runtime compilation* (tree ->
 source -> G++ -> dynamically loaded object).  We reproduce the same code
-path in Python: the AST is lowered to straight-line Python source (one
-assignment per node, so protected-operator guards never duplicate work),
+path in Python: the AST is lowered to straight-line Python source,
 compiled once with :func:`compile`, and the resulting function is reused
 for every time step of every simulation.
 
@@ -15,10 +14,28 @@ The compiler and the reference interpreter in :mod:`repro.expr.evaluate`
 implement identical protected semantics; the property-based test suite
 checks them against each other on random expressions.
 
-Three kernel forms are emitted from the same lowering pass:
+The scalar forms share one lean lowering (:class:`_Lowering`): it
+value-numbers the expression DAG (reading ``Ext`` markers through),
+writes leaves and constants inline and folds every single-use subtree
+into its consumer.  A subtree used more than once, or read more than
+once by a protected-op guard, gets exactly one temp, and inline nesting
+is capped at :data:`MAX_INLINE_DEPTH`, so deep GP trees stay far from
+CPython's parser limits.  Two thin wrappers emit from it:
 
-* the **scalar** form (:func:`compile_model`) steps one candidate at a
-  time through plain Python floats, and
+* the **step** form (:func:`compile_model`), ``f(P, V, S)`` returning one
+  derivative per state, which the integrators (``euler_steps``,
+  ``rk4_steps``, ``simulate``), the multi-station river simulator and
+  the synthetic generators step through, and
+* the **rollout** form (:func:`compile_rollout`), a generator that runs
+  a whole Euler integration against observations and yields one squared
+  error per fitness case -- parameters unpacked once, parameter-only
+  temps hoisted above the time loop, and the state update, NaN check,
+  clamp and target check inlined.  Fitness evaluation on a
+  :class:`~repro.dynamics.task.ModelingTask` runs this form; it is bit
+  for bit the step form driven through ``euler_steps``.
+
+Two NumPy kernel forms have their own emitters:
+
 * the **batched** form (:func:`compile_model_batched`) evaluates K
   parameter columns at once through NumPy: ``P`` is an ``(n_params, K)``
   matrix, ``S`` an ``(n_states, K)`` state matrix, and every protected
@@ -43,7 +60,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +83,10 @@ CompiledExpr = Callable[[Sequence[float], Sequence[float], Sequence[float]], flo
 CompiledModel = Callable[
     [Sequence[float], Sequence[float], Sequence[float]], tuple[float, ...]
 ]
+
+#: Signature of a compiled Euler observation rollout:
+#: ``f(P, rows, S, observed, dt, lo, hi, clamp)`` yielding squared errors.
+CompiledRollout = Callable[..., Iterator[float]]
 
 class CompiledBatchedModel:
     """A two-phase batched step kernel over K parameter columns.
@@ -163,8 +184,68 @@ class CompilationError(ValueError):
     """Raised when an expression cannot be lowered to source."""
 
 
-class _Emitter:
-    """Lowers expression trees to straight-line Python assignments."""
+#: Dependency bits of an expression: which leaf kinds it reads.
+_DEP_P, _DEP_V, _DEP_S = 1, 2, 4
+
+#: Deepest parenthesis nesting an inlined operand may reach.  A deeper
+#: operand is bound to a temp instead, so a deep GP tree lowers to a few
+#: more statements rather than approaching CPython's parser limits (200
+#: nested parentheses).
+MAX_INLINE_DEPTH = 16
+
+#: Scalar template of each node kind; ``{i}`` is operand ``i``.  ``abs``
+#: is the magnitude a ``log`` takes (its own node, so that the guard and
+#: the logarithm read one value).  Every guard keeps the *protected*
+#: branch on the ``if`` side, mirroring the interpreter's comparison
+#: direction.  The directions matter for NaN operands (any comparison
+#: with NaN is False): ``0.0 if m < eps else x / y`` propagates a NaN
+#: denominator like protected_div does, while the flipped spelling
+#: ``x / y if m >= eps else 0.0`` would silently map it to 0.0.  Python's
+#: min/max return the *first* argument on ties and on any NaN-poisoned
+#: comparison; their templates spell out exactly that.
+_TEMPLATES = {
+    "+": "{0} + {1}",
+    "-": "{0} - {1}",
+    "*": "{0} * {1}",
+    "/": f"0.0 if ({{1}} if {{1}} >= 0.0 else -{{1}}) < {DIV_EPS!r} else {{0}} / {{1}}",
+    "min": "{1} if {1} < {0} else {0}",
+    "max": "{1} if {1} > {0} else {0}",
+    "neg": "-{0}",
+    "exp": f"_exp({EXP_MAX!r} if {{0}} > {EXP_MAX!r} else {{0}})",
+    "abs": "{0} if {0} >= 0.0 else -{0}",
+    "log": f"0.0 if {{0}} < {LOG_EPS!r} else _log({{0}})",
+}
+
+#: How often each template reads each of its operands.
+_READS = {
+    kind: tuple(
+        template.count(f"{{{i}}}") for i in range(2) if f"{{{i}}}" in template
+    )
+    for kind, template in _TEMPLATES.items()
+}
+
+#: Leaf spellings of the step form ``f(P, V, S)``.
+_STEP_LEAVES = {"P": "P[{}]", "V": "V[{}]", "S": "S[{}]"}
+
+#: Leaf spellings of the rollout form, whose parameters, driver values
+#: and states are unpacked into locals.
+_ROLLOUT_LEAVES = {"P": "p{}", "V": "v{}", "S": "s{}"}
+
+
+class _Lowering:
+    """A value-numbered expression DAG, lowered to inline Python text.
+
+    :meth:`add` numbers one expression bottom-up, without recursion (so
+    tree depth is unbounded): every distinct ``(kind, *operands)`` key
+    gets one value number, so a structurally repeated subtree -- within
+    one expression or across several -- is one value.  ``Ext`` markers
+    are read through.  :meth:`render` writes leaves and constants inline
+    and folds each value into its single consumer.  A value gets exactly
+    one temp when it is read more than once (every read a protected-op
+    guard makes counts), when it would nest deeper than
+    :data:`MAX_INLINE_DEPTH`, or, when hoisting, when it reads no driver
+    and no state but feeds a value that does.
+    """
 
     def __init__(
         self,
@@ -172,110 +253,195 @@ class _Emitter:
         var_order: Sequence[str],
         state_order: Sequence[str],
     ) -> None:
-        self._param_index = {name: i for i, name in enumerate(param_order)}
-        self._var_index = {name: i for i, name in enumerate(var_order)}
-        self._state_index = {name: i for i, name in enumerate(state_order)}
-        self.lines: list[str] = []
-        self._counter = 0
-        self._memo: dict[int, str] = {}
-        self._values: dict[str, str] = {}
+        self._leaves = {
+            Param: ("P", _DEP_P, "parameter", _positions(param_order)),
+            Var: ("V", _DEP_V, "variable", _positions(var_order)),
+            State: ("S", _DEP_S, "state", _positions(state_order)),
+        }
+        #: ``(kind, *operands)`` per value number, in creation (and so
+        #: topological) order; a leaf's key is ``(kind, payload)``.
+        self.keys: list[tuple] = []
+        #: Leaf kinds (``_DEP_*`` bits) each value reads.
+        self.deps: list[int] = []
+        #: How often each value is read by other values and outputs.
+        self.reads: list[int] = []
+        self._numbers: dict[tuple, int] = {}
+        self._memo: dict[int, int] = {}
+        #: Value number of each added expression, in order.
+        self.outputs: list[int] = []
 
-    def _fresh(self) -> str:
-        name = f"t{self._counter}"
-        self._counter += 1
-        return name
+    def add(self, root: Expr) -> None:
+        """Number ``root`` and append it to :attr:`outputs`."""
+        memo = self._memo
+        leaf = self._leaf
+        stack = [root]
+        while stack:
+            expr = stack[-1]
+            cls = type(expr)
+            if cls is BinOp:
+                lhs, rhs = expr.lhs, expr.rhs
+                left = memo.get(id(lhs))
+                if left is None and type(lhs) not in _INNER:
+                    left = memo[id(lhs)] = leaf(lhs)
+                right = memo.get(id(rhs))
+                if right is None and type(rhs) not in _INNER:
+                    right = memo[id(rhs)] = leaf(rhs)
+                if left is None or right is None:
+                    if right is None:
+                        stack.append(rhs)
+                    if left is None:
+                        stack.append(lhs)
+                    continue
+                number = self._op((expr.op, left, right))
+            elif cls is UnOp or cls is Ext:
+                child = expr.operand
+                operand = memo.get(id(child))
+                if operand is None and type(child) not in _INNER:
+                    operand = memo[id(child)] = leaf(child)
+                if operand is None:
+                    stack.append(child)
+                    continue
+                if cls is Ext:
+                    number = operand
+                else:
+                    if expr.op == "log":
+                        operand = self._op(("abs", operand))
+                    number = self._op((expr.op, operand))
+            else:
+                number = leaf(expr)
+            stack.pop()
+            memo[id(expr)] = number
+        number = memo[id(root)]
+        self.reads[number] += 1
+        self.outputs.append(number)
 
-    def _assign(self, rhs: str) -> str:
-        # Value numbering: every emitted rhs is a pure expression over
-        # SSA temps, so textually identical rhs compute identical values
-        # and structurally repeated subtrees collapse to one temp.
-        cached = self._values.get(rhs)
-        if cached is not None:
-            return cached
-        name = self._fresh()
-        self.lines.append(f"    {name} = {rhs}")
-        self._values[rhs] = name
-        return name
+    def used(self, kind: str) -> set[int]:
+        """Positions of the ``P``/``V``/``S`` leaves read."""
+        return {key[1] for key in self.keys if key[0] == kind}
 
-    def emit(self, expr: Expr) -> str:
-        """Emit assignments computing ``expr``; return its temp name."""
-        memo_key = id(expr)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        name = self._emit(expr)
-        self._memo[memo_key] = name
-        return name
+    def _op(self, key: tuple) -> int:
+        number = self._numbers.get(key)
+        if number is not None:
+            return number
+        deps = 0
+        for operand, times in zip(key[1:], _READS[key[0]]):
+            self.reads[operand] += times
+            deps |= self.deps[operand]
+        return self._new(key, deps)
 
-    def _emit(self, expr: Expr) -> str:
-        if isinstance(expr, Const):
-            return self._assign(repr(expr.value))
-        if isinstance(expr, Param):
-            index = self._lookup(self._param_index, expr.name, "parameter")
-            return self._assign(f"P[{index}]")
-        if isinstance(expr, Var):
-            index = self._lookup(self._var_index, expr.name, "variable")
-            return self._assign(f"V[{index}]")
-        if isinstance(expr, State):
-            index = self._lookup(self._state_index, expr.name, "state")
-            return self._assign(f"S[{index}]")
-        if isinstance(expr, Ext):
-            return self.emit(expr.operand)
-        if isinstance(expr, UnOp):
-            operand = self.emit(expr.operand)
-            return self._emit_unary(expr.op, operand)
-        if isinstance(expr, BinOp):
-            lhs = self.emit(expr.lhs)
-            rhs = self.emit(expr.rhs)
-            return self._emit_binary(expr.op, lhs, rhs)
-        raise CompilationError(f"cannot compile node type {type(expr).__name__}")
+    def _new(self, key: tuple, deps: int) -> int:
+        number = len(self.keys)
+        self._numbers[key] = number
+        self.keys.append(key)
+        self.deps.append(deps)
+        self.reads.append(0)
+        return number
 
-    @staticmethod
-    def _lookup(index: dict[str, int], name: str, kind: str) -> int:
-        try:
-            return index[name]
-        except KeyError:
-            raise CompilationError(f"unbound {kind} {name!r}") from None
+    def _leaf(self, expr: Expr) -> int:
+        if type(expr) is Const:
+            key: tuple = ("C", repr(expr.value))
+            deps = 0
+        else:
+            leaf = self._leaves.get(type(expr))
+            if leaf is None:
+                raise CompilationError(
+                    f"cannot compile node type {type(expr).__name__}"
+                )
+            kind, deps, label, positions = leaf
+            name = expr.name  # type: ignore[attr-defined]
+            if name not in positions:
+                raise CompilationError(f"unbound {label} {name!r}")
+            key = (kind, positions[name])
+        number = self._numbers.get(key)
+        if number is None:
+            number = self._new(key, deps)
+        return number
 
-    # Every guard below keeps the *protected* branch on the `if` side of
-    # the conditional, mirroring the interpreter's comparison direction.
-    # The directions matter for NaN operands (any comparison with NaN is
-    # False): ``0.0 if m < eps else x / y`` propagates a NaN denominator
-    # like protected_div does, while the flipped spelling
-    # ``x / y if m >= eps else 0.0`` would silently map it to 0.0.
+    def render(
+        self, leaves: dict[str, str], hoist: bool = False
+    ) -> tuple[list[str], list[str], list[str]]:
+        """Lower every value: ``(hoisted, body, outputs)``.
 
-    def _emit_unary(self, op: str, operand: str) -> str:
-        if op == "neg":
-            return self._assign(f"-{operand}")
-        if op == "exp":
-            clamped = self._assign(
-                f"{EXP_MAX!r} if {operand} > {EXP_MAX!r} else {operand}"
-            )
-            return self._assign(f"_exp({clamped})")
-        if op == "log":
-            magnitude = self._assign(
-                f"{operand} if {operand} >= 0.0 else -{operand}"
-            )
-            return self._assign(
-                f"0.0 if {magnitude} < {LOG_EPS!r} else _log({magnitude})"
-            )
-        raise CompilationError(f"unknown unary operator {op!r}")
+        ``hoisted`` and ``body`` are temp assignments in evaluation
+        order; ``outputs`` is the inline text of each added expression.
+        With ``hoist``, every temp that reads no driver and no state
+        lands in ``hoisted`` (the rollout runs it once, above its time
+        loop); otherwise ``hoisted`` is empty.
+        """
+        varying = _DEP_V | _DEP_S
+        reads = self.reads
+        deps = self.deps
+        hoisted: list[str] = []
+        body: list[str] = []
+        text: list[str] = []
+        depth: list[int] = []
+        #: Right-hand side of each value folded into its consumer so far.
+        inline: dict[int, str] = {}
 
-    def _emit_binary(self, op: str, lhs: str, rhs: str) -> str:
-        if op in ("+", "-", "*"):
-            return self._assign(f"{lhs} {op} {rhs}")
-        if op == "/":
-            magnitude = self._assign(f"{rhs} if {rhs} >= 0.0 else -{rhs}")
-            return self._assign(
-                f"0.0 if {magnitude} < {DIV_EPS!r} else {lhs} / {rhs}"
-            )
-        # Python's min/max return the *first* argument on ties and on any
-        # NaN-poisoned comparison; spell out the exact builtin semantics.
-        if op == "min":
-            return self._assign(f"{rhs} if {rhs} < {lhs} else {lhs}")
-        if op == "max":
-            return self._assign(f"{rhs} if {rhs} > {lhs} else {lhs}")
-        raise CompilationError(f"unknown binary operator {op!r}")
+        def bind(number: int, rhs: str) -> None:
+            name = f"t{len(hoisted) + len(body)}"
+            stream = hoisted if hoist and not deps[number] & varying else body
+            stream.append(f"{name} = {rhs}")
+            text[number] = name
+            depth[number] = 0
+
+        for number, key in enumerate(self.keys):
+            kind = key[0]
+            template = _TEMPLATES.get(kind)
+            if template is None:
+                payload = key[1]
+                if kind != "C":
+                    payload = leaves[kind].format(payload)
+                elif payload[0] == "-":
+                    payload = f"({payload})"
+                text.append(payload)
+                depth.append(0)
+                continue
+            operands = key[1:]
+            # An invariant operand of a varying value is computed once,
+            # above the loop.
+            boundary = hoist and deps[number] & varying
+            nested = 0
+            for operand in operands:
+                if operand in inline and (
+                    depth[operand] >= MAX_INLINE_DEPTH
+                    or boundary and not deps[operand] & varying
+                ):
+                    bind(operand, inline.pop(operand))
+                elif depth[operand] > nested:
+                    nested = depth[operand]
+            rhs = template.format(*[text[operand] for operand in operands])
+            text.append(f"({rhs})")
+            depth.append(nested + 1)
+            if reads[number] > 1:
+                bind(number, rhs)
+            else:
+                inline[number] = rhs
+        if hoist:
+            for number in self.outputs:
+                if number in inline and not deps[number] & varying:
+                    bind(number, inline.pop(number))
+        return hoisted, body, [text[number] for number in self.outputs]
+
+
+#: Node types :meth:`_Lowering.add` descends into.
+_INNER = frozenset({BinOp, UnOp, Ext})
+
+
+def _positions(names: Sequence[str]) -> dict[str, int]:
+    return {name: index for index, name in enumerate(names)}
+
+
+def _lower(
+    exprs: Sequence[Expr],
+    param_order: Sequence[str],
+    var_order: Sequence[str],
+    state_order: Sequence[str],
+) -> _Lowering:
+    lowering = _Lowering(param_order, var_order, state_order)
+    for expr in exprs:
+        lowering.add(expr)
+    return lowering
 
 
 def generate_source(
@@ -291,15 +457,107 @@ def generate_source(
     tuple with one value per expression (or a bare float for a single
     expression, see :func:`compile_expr`).
     """
-    emitter = _Emitter(param_order, var_order, state_order)
-    results = [emitter.emit(expr) for expr in exprs]
-    header = f"def {name}(P, V, S):"
-    returns = "    return (" + ", ".join(results) + ("," if len(results) == 1 else "") + ")"
-    return "\n".join([header, *emitter.lines, returns])
+    lowering = _lower(exprs, param_order, var_order, state_order)
+    __, body, outputs = lowering.render(_STEP_LEAVES)
+    returns = ", ".join(outputs) + ("," if len(outputs) == 1 else "")
+    lines = [f"def {name}(P, V, S):"]
+    lines.extend(f"    {line}" for line in body)
+    lines.append(f"    return ({returns})")
+    return "\n".join(lines)
 
 
-def _compile_source(source: str, name: str) -> Callable:
-    namespace = {"_exp": math.exp, "_log": math.log}
+def _unpack(names: Sequence[str], used: set[int], prefix: str) -> str:
+    """An unpacking target over ``names``: ``p0, _, p2,`` style."""
+    return "".join(
+        f"{prefix}{index}, " if index in used else "_, "
+        for index in range(len(names))
+    )
+
+
+def generate_rollout_source(
+    exprs: Sequence[Expr],
+    param_order: Sequence[str],
+    var_order: Sequence[str],
+    state_order: Sequence[str],
+    target_index: int,
+    name: str = "_rollout",
+) -> str:
+    """Generate Python source for an Euler observation rollout.
+
+    The generated generator function has the signature
+    ``f(P, rows, S, observed, dt, lo, hi, clamp)``: ``P`` holds one value
+    per parameter of ``param_order``, ``rows`` the driver rows
+    (``var_order``), ``S`` one initial value per state of
+    ``state_order``, ``observed`` one observation of state
+    ``target_index`` per row, ``lo``/``hi`` the clamping band and
+    ``clamp`` the band's ``ClampSpec.apply``.  Per row it yields the
+    squared error of the target state after one Euler step, bit for bit
+    what stepping the step form through
+    ``repro.dynamics.integrate.euler_steps`` and
+    ``observation_error_stream`` yields, with the same exceptions and
+    messages: every derivative reads the old state; each state in turn
+    becomes ``s + dt * d``, passed through ``clamp`` unless it lies in
+    ``[lo, hi]`` (where ``clamp`` is the identity; outside, it clamps
+    or raises on NaN); then a non-finite target raises.  Temps that read
+    no driver and no state are computed once, above the time loop.
+    """
+    n_states = len(state_order)
+    if len(exprs) != n_states:
+        raise CompilationError(
+            f"a rollout needs one equation per state: {len(exprs)} "
+            f"equations for {n_states} states"
+        )
+    if not 0 <= target_index < n_states:
+        raise CompilationError(
+            f"target index {target_index} out of range for {n_states} states"
+        )
+    lowering = _lower(exprs, param_order, var_order, state_order)
+    hoisted, body, outputs = lowering.render(_ROLLOUT_LEAVES, hoist=True)
+    lines = [f"def {name}(P, rows, S, observed, dt, lo, hi, clamp):"]
+    if param_order:
+        lines.append(f"    {_unpack(param_order, lowering.used('P'), 'p')}= P")
+    lines.append("    " + "".join(f"s{i}, " for i in range(n_states)) + "= S")
+    lines.extend(f"    {line}" for line in hoisted)
+    if var_order:
+        row = f"({_unpack(var_order, lowering.used('V'), 'v')})"
+    else:
+        row = "_"
+    lines.append(f"    for {row}, o in zip(rows, observed):")
+    lines.extend(f"        {line}" for line in body)
+    last = n_states - 1
+    for index, derivative in enumerate(outputs):
+        # Earlier states are updated into ``n<i>`` so that every later
+        # derivative still reads the old state.
+        new = f"s{index}" if index == last else f"n{index}"
+        lines += [
+            f"        {new} = s{index} + dt * {derivative}",
+            f"        if not lo <= {new} <= hi:",
+            f"            {new} = clamp({new})",
+        ]
+    lines.extend(f"        s{index} = n{index}" for index in range(last))
+    target = f"s{target_index}"
+    lines += [
+        f"        if not _isfinite({target}):",
+        '            raise _Diverged("predicted value is not finite")',
+        f"        e = {target} - o",
+        "        yield e * e",
+    ]
+    return "\n".join(lines)
+
+
+#: Names the scalar step and rollout sources read besides their
+#: arguments; ``inf``/``nan`` make non-finite constant literals valid.
+_SCALAR_NAMESPACE = {
+    "_exp": math.exp,
+    "_log": math.log,
+    "_isfinite": math.isfinite,
+    "inf": math.inf,
+    "nan": math.nan,
+}
+
+
+def _compile_source(source: str, name: str, **names: Any) -> Callable:
+    namespace = {**_SCALAR_NAMESPACE, **names}
     code = compile(source, filename=f"<repro:{name}>", mode="exec")
     exec(code, namespace)  # noqa: S102 - generated from our own AST only
     return namespace[name]
@@ -339,8 +597,28 @@ def compile_model(
     return func
 
 
-#: Dependency bits of an expression: which leaf kinds it reads.
-_DEP_P, _DEP_V, _DEP_S = 1, 2, 4
+def compile_rollout(
+    exprs: Sequence[Expr],
+    param_order: Sequence[str],
+    var_order: Sequence[str],
+    state_order: Sequence[str],
+    target_index: int,
+    diverged: type[Exception],
+) -> CompiledRollout:
+    """Compile an Euler observation rollout (see
+    :func:`generate_rollout_source`).
+
+    ``diverged`` is the exception class raised on a non-finite target.
+    The returned generator function carries its ``source`` and
+    ``target_index``.
+    """
+    source = generate_rollout_source(
+        exprs, param_order, var_order, state_order, target_index
+    )
+    func = _compile_source(source, "_rollout", _Diverged=diverged)
+    func.source = source  # type: ignore[attr-defined]
+    func.target_index = target_index  # type: ignore[attr-defined]
+    return func
 
 
 class _BatchedEmitter:

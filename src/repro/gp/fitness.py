@@ -10,9 +10,11 @@ independently switchable for the Figure 10 ablation:
   the best previously *fully evaluated* fitness, controlled by the
   ``threshold`` eagerness parameter.
 * **Runtime compilation (RC)** -- models are evaluated through compiled
-  step functions rather than the tree-walking interpreter
-  (:mod:`repro.expr.compile`); compiled functions are shared between
-  structurally identical individuals.
+  kernels rather than the tree-walking interpreter
+  (:mod:`repro.expr.compile`): on a :class:`ModelingTask`, one Euler
+  observation rollout per structure that yields the fitness cases
+  directly; on other tasks, the model's step function.  Compiled kernels
+  are shared between structurally identical individuals.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.dynamics.task import BAD_FITNESS, ModelingTask
 from repro.expr.compile import (
     CompiledCohortKernel,
     CompiledModel,
+    CompiledRollout,
     KernelCache,
     KernelCacheStats,
 )
@@ -354,13 +357,16 @@ class GMRFitnessEvaluator:
         #: scalar).  A fused failure cannot be attributed to one member,
         #: so the whole cohort is demoted together.
         self._fusion_blocklist: set[str] = set()
-        #: Pinned scalar kernels of demoted structures, keyed like the
-        #: share table.  A blocklisted structure is a permanent scalar
-        #: resident: routing it around both kernel caches keeps it from
-        #: skewing hit-rate/eviction accounting with lookups whose
+        #: Pinned scalar kernels (rollouts, or step functions on tasks
+        #: that are not a ModelingTask) of demoted structures, keyed like
+        #: the share table.  A blocklisted structure is a permanent
+        #: scalar resident: routing it around both kernel caches keeps it
+        #: from skewing hit-rate/eviction accounting with lookups whose
         #: answer never changes (and from being evicted into rebuild
         #: misses).  Never pickled -- kernels are exec-generated.
-        self._demoted_scalar: dict[Hashable, CompiledModel] = {}
+        self._demoted_scalar: dict[
+            Hashable, CompiledModel | CompiledRollout
+        ] = {}
 
     @property
     def cache(self) -> TreeCache:
@@ -540,31 +546,15 @@ class GMRFitnessEvaluator:
 
         if config.use_compilation:
             with self._profile.phase("compile"):
-                # Sharing must key on the parameter order too: simplification
-                # can collapse structurally different models (with different
-                # raw parameter vectors) onto one canonical key, but a
-                # compiled step function indexes parameters positionally.
-                share_key = (structure_key, model.param_order)
-                if structure_key in self._kernel_blocklist:
-                    # Demoted structures are permanent scalar residents:
-                    # serve them from the pinned dictionary instead of
-                    # the LRU caches, so they stop registering lookups
-                    # whose answer never changes -- hit-rate and eviction
-                    # counters keep describing the *live* kernel traffic.
-                    pinned = self._demoted_scalar.get(share_key)
-                    if pinned is None:
-                        pinned = model._build_scalar_kernel()
-                        self._demoted_scalar[share_key] = pinned
-                    model._compiled = pinned
-                else:
-                    shared = self._compiled.get(share_key)
-                    if shared is not None:
-                        model._compiled = shared
-                    else:
-                        self._compiled.put(share_key, model.compiled())
+                self._share_kernel(model, structure_key)
 
         self.stats.steps_possible += total_cases
         threshold = config.es_threshold
+        # ``best_prev_full`` only moves after the loop, so the ES bound
+        # is fixed for the whole evaluation.
+        bound = None if threshold is None else self.best_prev_full * threshold
+        extrapolate = self.extrapolate
+        sqrt = math.sqrt
 
         sse = 0.0
         cases_done = 0
@@ -575,10 +565,10 @@ class GMRFitnessEvaluator:
                 ):
                     sse += squared_error
                     cases_done += 1
-                    if threshold is not None and cases_done < total_cases:
-                        fitness = math.sqrt(sse / cases_done)
-                        if fitness > self.best_prev_full * threshold:
-                            estimate = self.extrapolate(
+                    if bound is not None and cases_done < total_cases:
+                        fitness = sqrt(sse / cases_done)
+                        if fitness > bound:
+                            estimate = extrapolate(
                                 fitness, cases_done, total_cases
                             )
                             if estimate > self.best_prev_full:
@@ -603,6 +593,52 @@ class GMRFitnessEvaluator:
         if cache_key is not None:
             self._cache.put(cache_key, fitness)
         return fitness, True
+
+    def _share_kernel(self, model: ProcessModel, structure_key: str) -> None:
+        """Attach the kernel the scalar path will run to ``model``.
+
+        On a :class:`ModelingTask` that is the Euler observation rollout
+        for the task's target state (``error_stream`` runs it); other
+        tasks (e.g. the network-coupled river task) step through the
+        model's step function.  Only that one kernel is compiled.
+        """
+        # Sharing must key on the parameter order too: simplification
+        # can collapse structurally different models (with different raw
+        # parameter vectors) onto one canonical key, but a compiled
+        # kernel indexes parameters positionally.
+        if isinstance(self.task, ModelingTask):
+            target = model.state_names.index(self.task.target_state)
+            share_key: tuple = (structure_key, model.param_order, target)
+        else:
+            target = None
+            share_key = (structure_key, model.param_order)
+        if structure_key in self._kernel_blocklist:
+            # Demoted structures are permanent scalar residents: serve
+            # them from the pinned dictionary instead of the LRU caches,
+            # so they stop registering lookups whose answer never
+            # changes -- hit-rate and eviction counters keep describing
+            # the *live* kernel traffic.
+            kernel = self._demoted_scalar.get(share_key)
+            if kernel is None:
+                kernel = (
+                    model._build_scalar_kernel()
+                    if target is None
+                    else model._build_rollout(target)
+                )
+                self._demoted_scalar[share_key] = kernel
+        else:
+            kernel = self._compiled.get(share_key)
+            if kernel is None:
+                kernel = (
+                    model.compiled()
+                    if target is None
+                    else model.compiled_rollout(target)
+                )
+                self._compiled.put(share_key, kernel)
+        if target is None:
+            model._compiled = kernel
+        else:
+            model._compiled_rollout = kernel
 
     def evaluate_batch(self, individuals: Sequence[Individual]) -> list[float]:
         """Evaluate a cohort through the batched NumPy kernels.

@@ -1,10 +1,17 @@
 """Generated-source inspection: the runtime compiler's lowering rules."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.expr import ast
 from repro.expr.ast import Const, Param, State, Var
-from repro.expr.compile import generate_source
+from repro.expr.compile import (
+    generate_batched_source,
+    generate_cohort_source,
+    generate_rollout_source,
+    generate_source,
+)
+from tests.expr.strategies import PARAM_NAMES, VAR_NAMES, expressions
 
 
 class TestLowering:
@@ -18,12 +25,49 @@ class TestLowering:
         assert "S[0]" in source
         assert "P[0]" not in source  # unused parameter never read
 
-    def test_one_assignment_per_node(self):
-        expr = ast.mul(ast.add(Const(1), Const(2)), Const(3))
-        source = generate_source([expr], [], [], [])
-        # 3 constants + 1 add + 1 mul = 5 assignments.
-        body = [line for line in source.splitlines() if "=" in line and "return" not in line]
-        assert len(body) == 5
+    @staticmethod
+    def _temps(source):
+        return [
+            line.strip()
+            for line in source.splitlines()
+            if line.strip().startswith("t") and " = " in line
+        ]
+
+    def test_temps_only_for_shared_and_guard_operands(self):
+        # Single-use subtrees fold into their consumer, leaves and
+        # constants are written inline: no temp at all.
+        folded = ast.mul(ast.add(Param("a"), Var("x")), Const(3))
+        source = generate_source([folded], ["a"], ["x"], [])
+        assert self._temps(source) == []
+        assert "return (((P[0] + V[0]) * 3.0),)" in source
+
+        # A subtree used twice -- by identity or by structure -- gets
+        # exactly one temp.
+        for second in (folded, ast.mul(ast.add(Param("a"), Var("x")), Const(3))):
+            source = generate_source(
+                [ast.sub(folded, second)], ["a"], ["x"], []
+            )
+            assert self._temps(source) == ["t0 = (P[0] + V[0]) * 3.0"]
+            assert "return ((t0 - t0),)" in source
+
+        # A compound operand a protected-op guard reads more than once
+        # gets exactly one temp; the single-use numerator stays inline.
+        denominator = ast.add(Var("x"), Const(1))
+        numerator = ast.mul(Var("y"), Const(2))
+        source = generate_source(
+            [ast.div(numerator, denominator)], [], ["x", "y"], []
+        )
+        assert self._temps(source) == ["t0 = V[0] + 1.0"]
+        assert "(V[1] * 2.0) / t0" in source
+
+        # A leaf operand needs no temp even under a guard; log's magnitude
+        # is read twice (guard and logarithm), so it gets one.
+        source = generate_source([ast.log(Var("x"))], [], ["x"], [])
+        assert self._temps(source) == ["t0 = V[0] if V[0] >= 0.0 else -V[0]"]
+        source = generate_source(
+            [ast.minimum(ast.exp(Var("x")), Var("y"))], [], ["x", "y"], []
+        )
+        assert self._temps(source) == ["t0 = _exp(60.0 if V[0] > 60.0 else V[0])"]
 
     def test_division_guard_structure(self):
         expr = ast.div(Var("a"), Var("b"))
@@ -73,3 +117,30 @@ class TestErrorPaths:
 
         with pytest.raises(CompilationError, match="state"):
             generate_source([State("nope")], [], [], [])
+
+
+class TestExtReadThrough:
+    """Every emitter reads ``Ext`` markers through, so compiling an
+    Ext-wrapped equation needs no ``strip_ext`` copy first."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(expressions(), expressions())
+    def test_sources_identical_with_and_without_ext(self, first, second):
+        orders = (PARAM_NAMES, VAR_NAMES, ("s0", "s1"))
+        wrapped = [first, ast.Ext("Ext1", second)]
+        stripped = [ast.strip_ext(expr) for expr in wrapped]
+        assert generate_source(wrapped, *orders) == generate_source(
+            stripped, *orders
+        )
+        for target in (0, 1):
+            assert generate_rollout_source(
+                wrapped, *orders, target
+            ) == generate_rollout_source(stripped, *orders, target)
+        assert generate_batched_source(
+            wrapped, *orders
+        ) == generate_batched_source(stripped, *orders)
+        members = [(wrapped, PARAM_NAMES), (stripped[::-1], PARAM_NAMES)]
+        plain = [(stripped, PARAM_NAMES), (stripped[::-1], PARAM_NAMES)]
+        assert generate_cohort_source(
+            members, VAR_NAMES, orders[2], 2
+        ) == generate_cohort_source(plain, VAR_NAMES, orders[2], 2)
